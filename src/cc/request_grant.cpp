@@ -2,6 +2,7 @@
 
 #include <cassert>
 
+#include "ckpt/io.hpp"
 #include "common/invariant.hpp"
 
 namespace sirius::cc {
@@ -98,62 +99,36 @@ std::vector<RequestGrantNode::OutgoingRequest> RequestGrantNode::build_requests(
 }
 
 
-void RequestGrantNode::serialize(ckpt::Writer& w) const {
-  w.u64(inbox_.size());
-  for (const Request& req : inbox_) {
-    w.i32(req.src);
-    w.i32(req.dst);
-  }
-  w.vec_i32(outstanding_);
-  w.vec_u8(excluded_);
-  w.i64(stat_requests_);
-  w.i64(stat_grants_);
-  w.i64(stat_denied_q_);
-  w.i64(stat_releases_);
+template <class Io>
+void RequestGrantNode::fields(Io& io) {
+  constexpr const char* kGeometry =
+      "request/grant state does not match this run's node count";
+  io.seq(inbox_, 8, "request inbox", [&io](Request& req) {
+    io(req.src);
+    io(req.dst);
+  });
+  io.fixed(outstanding_, "outstanding grants", kGeometry);
+  io.fixed(excluded_, "exclusion flags", kGeometry);
+  io(stat_requests_);
+  io(stat_grants_);
+  io(stat_denied_q_);
+  io(stat_releases_);
+  io.check(stat_requests_ >= 0 && stat_grants_ >= 0 && stat_denied_q_ >= 0 &&
+               stat_releases_ >= 0,
+           kGeometry);
+  const auto node_ok = [this](NodeId n) { return n >= 0 && n < cfg_.nodes; };
+  io.check(std::all_of(inbox_.begin(), inbox_.end(),
+                       [&](const Request& req) {
+                         return node_ok(req.src) && node_ok(req.dst);
+                       }),
+           "buffered request outside the node range");
+  io.check(std::all_of(outstanding_.begin(), outstanding_.end(),
+                       [this](std::int32_t out) {
+                         return out >= 0 && out <= cfg_.queue_limit;
+                       }),
+           "outstanding grant counter outside [0, Q]");
 }
-
-bool RequestGrantNode::restore(ckpt::Reader& r) {
-  const std::size_t n_inbox = r.count(8, "request inbox");
-  std::vector<Request> inbox(n_inbox);
-  for (Request& req : inbox) {
-    req.src = r.i32();
-    req.dst = r.i32();
-  }
-  auto outstanding = r.vec_i32("outstanding grants");
-  auto excluded = r.vec_u8("exclusion flags");
-  const std::int64_t stat_requests = r.i64();
-  const std::int64_t stat_grants = r.i64();
-  const std::int64_t stat_denied = r.i64();
-  const std::int64_t stat_releases = r.i64();
-  if (!r.ok()) return false;
-  const auto nodes = static_cast<std::size_t>(cfg_.nodes);
-  if (outstanding.size() != nodes || excluded.size() != nodes ||
-      stat_requests < 0 || stat_grants < 0 || stat_denied < 0 ||
-      stat_releases < 0) {
-    r.fail("request/grant state does not match this run's node count");
-    return false;
-  }
-  for (const Request& req : inbox) {
-    if (req.src < 0 || req.src >= cfg_.nodes || req.dst < 0 ||
-        req.dst >= cfg_.nodes) {
-      r.fail("buffered request outside the node range");
-      return false;
-    }
-  }
-  for (const std::int32_t out : outstanding) {
-    if (out < 0 || out > cfg_.queue_limit) {
-      r.fail("outstanding grant counter outside [0, Q]");
-      return false;
-    }
-  }
-  inbox_ = std::move(inbox);
-  outstanding_ = std::move(outstanding);
-  excluded_ = std::move(excluded);
-  stat_requests_ = stat_requests;
-  stat_grants_ = stat_grants;
-  stat_denied_q_ = stat_denied;
-  stat_releases_ = stat_releases;
-  return true;
-}
+template void RequestGrantNode::fields(ckpt::Writer&);
+template void RequestGrantNode::fields(ckpt::Reader&);
 
 }  // namespace sirius::cc

@@ -29,7 +29,6 @@
 #include <functional>
 #include <vector>
 
-#include "ckpt/io.hpp"
 #include "common/hot_path.hpp"
 #include "common/invariant.hpp"
 #include "common/rng.hpp"
@@ -259,13 +258,13 @@ class RequestGrantNode {
       const std::function<bool(NodeId, NodeId)>& relay_ok = {})
       SIRIUS_REQUIRES(common::sim_slot_role);
 
-  /// Snapshottable: inbox, outstanding-grant counters, exclusions and
-  /// lifetime stats. The per-epoch scratch (picked flags, intermediate
-  /// pool) is rebuilt from scratch every epoch and is all-zero at the
-  /// slot-top checkpoint instant, so it does not travel.
-  void serialize(ckpt::Writer& w) const
-      SIRIUS_REQUIRES_SHARED(common::sim_slot_role);
-  bool restore(ckpt::Reader& r) SIRIUS_REQUIRES(common::sim_slot_role);
+  /// Checkpoint field list (ckpt/io.hpp): inbox, outstanding-grant
+  /// counters, exclusions and lifetime stats. The per-epoch scratch
+  /// (picked flags, intermediate pool) is rebuilt from scratch every epoch
+  /// and is all-zero at the slot-top checkpoint instant, so it does not
+  /// travel.
+  template <class Io>
+  void fields(Io& io) SIRIUS_REQUIRES(common::sim_slot_role);
 
  private:
   void shuffle_inbox(Rng& rng) SIRIUS_REQUIRES(common::sim_slot_role);

@@ -39,10 +39,10 @@ std::uint32_t crc32(std::string_view data) {
 
 std::string frame(std::string_view payload) {
   Writer w;
-  for (const char ch : kMagic) w.u8(static_cast<std::uint8_t>(ch));
-  w.u32(kVersion);
-  w.u64(payload.size());
-  w.u32(crc32(payload));
+  for (const char ch : kMagic) w(static_cast<std::uint8_t>(ch));
+  w(kVersion);
+  w(static_cast<std::uint64_t>(payload.size()));
+  w(crc32(payload));
   std::string out = w.data();
   out.append(payload.data(), payload.size());
   return out;
@@ -69,9 +69,12 @@ LoadResult parse(std::string_view file_bytes) {
     return r;
   }
   Reader hdr(file_bytes.substr(kMagic.size(), kHeaderSize - kMagic.size()));
-  const std::uint32_t version = hdr.u32();
-  const std::uint64_t payload_len = hdr.u64();
-  const std::uint32_t stored_crc = hdr.u32();
+  std::uint32_t version = 0;
+  std::uint64_t payload_len = 0;
+  std::uint32_t stored_crc = 0;
+  hdr(version);
+  hdr(payload_len);
+  hdr(stored_crc);
   if (version != kVersion) {
     r.status = LoadStatus::kBadVersion;
     r.message = "unsupported checkpoint version " + std::to_string(version) +

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "ckpt/io.hpp"
 #include "common/invariant.hpp"
 
 namespace sirius::ctrl {
@@ -161,83 +162,45 @@ void MembershipView::admit(NodeId node) {
   ++revision_;
 }
 
-void PeerHealth::serialize(ckpt::Writer& w) const {
-  w.i32(threshold_);
-  w.vec_i32(misses_);
-  w.vec_u8(declared_);
-  w.i64(stat_misses_);
-  w.i64(stat_declarations_);
+template <class Io>
+void PeerHealth::fields(Io& io) {
+  constexpr const char* kRange = "peer-health state out of range";
+  io(threshold_);
+  io.fixed(misses_, "peer-health miss runs", kRange);
+  io.fixed(declared_, "peer-health declarations", kRange);
+  io(stat_misses_);
+  io(stat_declarations_);
+  io.check(threshold_ >= 1 && stat_misses_ >= 0 && stat_declarations_ >= 0,
+           kRange);
+  io.check(std::all_of(misses_.begin(), misses_.end(),
+                       [this](std::int32_t m) {
+                         return m >= 0 && m <= threshold_;
+                       }),
+           "peer-health miss run outside [0, threshold]");
 }
+template void PeerHealth::fields(ckpt::Writer&);
+template void PeerHealth::fields(ckpt::Reader&);
 
-bool PeerHealth::restore(ckpt::Reader& r) {
-  const std::int32_t threshold = r.i32();
-  auto misses = r.vec_i32("peer-health miss runs");
-  auto declared = r.vec_u8("peer-health declarations");
-  const std::int64_t stat_misses = r.i64();
-  const std::int64_t stat_declarations = r.i64();
-  if (!r.ok()) return false;
-  if (threshold < 1 || misses.size() != declared.size() ||
-      stat_misses < 0 || stat_declarations < 0) {
-    r.fail("peer-health state out of range");
-    return false;
-  }
-  for (const std::int32_t m : misses) {
-    if (m < 0 || m > threshold) {
-      r.fail("peer-health miss run outside [0, threshold]");
-      return false;
+template <class Io>
+void MembershipView::fields(Io& io) {
+  // racks, owner and quorum come from the run's config; the matrix and
+  // vectors they size keep their constructed lengths.
+  constexpr const char* kGeometry = "membership view geometry out of range";
+  io.expect(racks_, kGeometry);
+  io.expect(owner_, kGeometry);
+  io.expect(quorum_, kGeometry);
+  io(revision_);
+  if (io.length(links_.size(), 5, "membership link matrix", kGeometry)) {
+    for (LinkState& cell : links_) {
+      io(cell.version);
+      io(cell.down);
     }
   }
-  threshold_ = threshold;
-  misses_ = std::move(misses);
-  declared_ = std::move(declared);
-  stat_misses_ = stat_misses;
-  stat_declarations_ = stat_declarations;
-  return true;
+  io.fixed(down_votes_, "membership down votes", kGeometry);
+  io.fixed(merged_rev_, "membership merge cursors", kGeometry);
+  io.check(revision_ != 0, kGeometry);
 }
-
-void MembershipView::serialize(ckpt::Writer& w) const {
-  w.i32(racks_);
-  w.i32(owner_);
-  w.i32(quorum_);
-  w.u64(revision_);
-  w.u64(links_.size());
-  for (const LinkState& cell : links_) {
-    w.u32(cell.version);
-    w.u8(cell.down);
-  }
-  w.vec_i32(down_votes_);
-  w.vec_u64(merged_rev_);
-}
-
-bool MembershipView::restore(ckpt::Reader& r) {
-  const std::int32_t racks = r.i32();
-  const NodeId owner = r.i32();
-  const std::int32_t quorum = r.i32();
-  const std::uint64_t revision = r.u64();
-  const std::size_t n_links = r.count(5, "membership link matrix");
-  std::vector<LinkState> links(n_links);
-  for (LinkState& cell : links) {
-    cell.version = r.u32();
-    cell.down = r.u8();
-  }
-  auto down_votes = r.vec_i32("membership down votes");
-  auto merged_rev = r.vec_u64("membership merge cursors");
-  if (!r.ok()) return false;
-  const auto racks_sz = static_cast<std::size_t>(racks > 0 ? racks : 0);
-  if (racks < 1 || owner < 0 || owner >= racks || quorum < 1 ||
-      revision == 0 || links.size() != racks_sz * racks_sz ||
-      down_votes.size() != racks_sz || merged_rev.size() != racks_sz) {
-    r.fail("membership view geometry out of range");
-    return false;
-  }
-  racks_ = racks;
-  owner_ = owner;
-  quorum_ = quorum;
-  revision_ = revision;
-  links_ = std::move(links);
-  down_votes_ = std::move(down_votes);
-  merged_rev_ = std::move(merged_rev);
-  return true;
-}
+template void MembershipView::fields(ckpt::Writer&);
+template void MembershipView::fields(ckpt::Reader&);
 
 }  // namespace sirius::ctrl

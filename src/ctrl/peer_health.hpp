@@ -25,13 +25,12 @@
 #include <cstdint>
 #include <vector>
 
-#include "ckpt/snapshot.hpp"
 #include "common/units.hpp"
 
 namespace sirius::ctrl {
 
 /// One observer's consecutive-miss run per peer (the §4.5 detector).
-class PeerHealth : public ckpt::Snapshottable {
+class PeerHealth {
  public:
   PeerHealth(std::int32_t peers, std::int32_t miss_threshold);
 
@@ -63,10 +62,11 @@ class PeerHealth : public ckpt::Snapshottable {
   /// Forget everything about `peer` (administrative rejoin).
   void reset(NodeId peer);
 
-  /// Snapshottable: miss runs, declarations and lifetime stats, so a
-  /// restored detector is mid-run exactly where the original was.
-  void serialize(ckpt::Writer& w) const override;
-  bool restore(ckpt::Reader& r) override;
+  /// Checkpoint field list (ckpt/io.hpp): miss runs, declarations and
+  /// lifetime stats, so a restored detector is mid-run exactly where the
+  /// original was.
+  template <class Io>
+  void fields(Io& io);
 
  private:
   std::int32_t threshold_;
@@ -78,7 +78,7 @@ class PeerHealth : public ckpt::Snapshottable {
 
 /// One node's view of every directed link, merged in-band (§4.5
 /// "failed-set piggybacked on every outgoing cell").
-class MembershipView : public ckpt::Snapshottable {
+class MembershipView {
  public:
   /// `quorum`: distinct observers required to convict a node (>= 1).
   MembershipView(std::int32_t racks, NodeId owner, std::int32_t quorum);
@@ -119,11 +119,12 @@ class MembershipView : public ckpt::Snapshottable {
   /// from the same owner mean identical content (merge short-circuit).
   [[nodiscard]] std::uint64_t revision() const { return revision_; }
 
-  /// Snapshottable: the full versioned opinion matrix, vote tallies and
-  /// merge short-circuit cursors (revisions included — they decide future
-  /// merge outcomes, so they must survive a restore bit-exactly).
-  void serialize(ckpt::Writer& w) const override;
-  bool restore(ckpt::Reader& r) override;
+  /// Checkpoint field list (ckpt/io.hpp): the full versioned opinion
+  /// matrix, vote tallies and merge short-circuit cursors (revisions
+  /// included — they decide future merge outcomes, so they must survive a
+  /// restore bit-exactly).
+  template <class Io>
+  void fields(Io& io);
 
  private:
   struct LinkState {

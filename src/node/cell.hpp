@@ -6,11 +6,20 @@
 // exactly the overhead Fig. 13 quantifies for small flows.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 
 #include "common/units.hpp"
 
 namespace sirius::node {
+
+/// The index ranges a checkpointed cell's fields must fall in: the run
+/// uses `flow`, `dst_node` and `dst_server` as indices once it resumes.
+struct CellBounds {
+  FlowId flows = 0;
+  NodeId nodes = 0;
+  std::int32_t servers = 0;
+};
 
 struct Cell {
   FlowId flow = 0;
@@ -19,6 +28,22 @@ struct Cell {
   std::int32_t dst_server = 0;   ///< destination server (global index)
   std::int32_t payload_bytes = 0;///< application bytes carried (<= capacity)
   std::int32_t retries = 0;      ///< §4.5 retransmission attempts so far
+
+  /// Checkpoint field list (ckpt/io.hpp), kWireBytes long.
+  template <class Io>
+  void fields(Io& io, const CellBounds& bounds) {
+    io(flow);
+    io(seq);
+    io(dst_node);
+    io(dst_server);
+    io(payload_bytes);
+    io(retries);
+    io.check(flow >= 0 && flow < bounds.flows && dst_node >= 0 &&
+                 dst_node < bounds.nodes && dst_server >= 0 &&
+                 dst_server < bounds.servers,
+             "checkpointed cell outside the flow, rack or server range");
+  }
+  static constexpr std::size_t kWireBytes = 8 + 5 * 4;
 };
 
 /// Number of cells needed for `size` bytes with `capacity` bytes per cell.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "ckpt/io.hpp"
 #include "common/invariant.hpp"
 
 namespace sirius::node {
@@ -54,38 +55,24 @@ std::int64_t ReorderBuffer::on_arrival(std::int32_t seq, std::int32_t bytes) {
   return released;
 }
 
-void ReorderBuffer::serialize(ckpt::Writer& w) const {
-  w.i64(total_cells_);
-  w.i64(next_expected_);
-  w.vec_u64(pending_);
-  w.i64(buffered_cells_);
-  w.i64(buffered_bytes_);
-  w.i64(peak_bytes_);
-}
-
-bool ReorderBuffer::restore(ckpt::Reader& r) {
-  const std::int64_t total = r.i64();
-  const std::int64_t next = r.i64();
-  auto pending = r.vec_u64("reorder pending bitmap");
-  const std::int64_t buffered = r.i64();
-  const std::int64_t buffered_bytes = r.i64();
-  const std::int64_t peak_bytes = r.i64();
-  if (!r.ok()) return false;
+template <class Io>
+void ReorderBuffer::fields(Io& io) {
+  io(total_cells_);
+  io(next_expected_);
+  io(pending_, "reorder pending bitmap");
+  io(buffered_cells_);
+  io(buffered_bytes_);
+  io(peak_bytes_);
   const std::size_t words =
-      total > 0 ? static_cast<std::size_t>((total + 63) / 64) : 0;
-  if (total < 0 || next < 0 || next > total || pending.size() != words ||
-      buffered < 0 || buffered > total || buffered_bytes < 0 ||
-      peak_bytes < 0) {
-    r.fail("reorder buffer state out of range");
-    return false;
-  }
-  total_cells_ = total;
-  next_expected_ = next;
-  pending_ = std::move(pending);
-  buffered_cells_ = buffered;
-  buffered_bytes_ = buffered_bytes;
-  peak_bytes_ = peak_bytes;
-  return true;
+      total_cells_ > 0 ? static_cast<std::size_t>((total_cells_ + 63) / 64)
+                       : 0;
+  io.check(total_cells_ >= 0 && next_expected_ >= 0 &&
+               next_expected_ <= total_cells_ && pending_.size() == words &&
+               buffered_cells_ >= 0 && buffered_cells_ <= total_cells_ &&
+               buffered_bytes_ >= 0 && peak_bytes_ >= 0,
+           "reorder buffer state out of range");
 }
+template void ReorderBuffer::fields(ckpt::Writer&);
+template void ReorderBuffer::fields(ckpt::Reader&);
 
 }  // namespace sirius::node

@@ -14,7 +14,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "ckpt/io.hpp"
 #include "common/hot_path.hpp"
 #include "common/units.hpp"
 
@@ -49,10 +48,11 @@ class ReorderBuffer {
     return DataSize::bytes(peak_bytes_);
   }
 
-  /// Snapshottable: full state incl. the pending bitmap, so a restored
-  /// receiver releases exactly the same in-order prefixes.
-  void serialize(ckpt::Writer& w) const;
-  bool restore(ckpt::Reader& r);
+  /// Checkpoint field list (ckpt/io.hpp): full state incl. the pending
+  /// bitmap, so a restored receiver releases exactly the same in-order
+  /// prefixes.
+  template <class Io>
+  void fields(Io& io);
 
  private:
   [[nodiscard]] bool pending_bit(std::int32_t seq) const {

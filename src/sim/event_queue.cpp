@@ -45,27 +45,4 @@ std::int64_t EventQueue::run_until(Time until) {
   return executed;
 }
 
-
-void EventQueue::serialize(ckpt::Writer& w) const {
-  w.b(heap_.empty());
-  w.i64(now_.picoseconds());
-  w.u64(next_seq_);
-}
-
-bool EventQueue::restore(ckpt::Reader& r) {
-  const bool drained = r.b();
-  const std::int64_t now_ps = r.i64();
-  const std::uint64_t next_seq = r.u64();
-  if (!r.ok()) return false;
-  if (!drained) {
-    r.fail("event queue was serialized with pending handlers (only a "
-           "drained queue is checkpointable)");
-    return false;
-  }
-  while (!heap_.empty()) heap_.pop();
-  now_ = Time::ps(now_ps);
-  next_seq_ = next_seq;
-  return true;
-}
-
 }  // namespace sirius::sim

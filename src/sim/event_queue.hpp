@@ -11,7 +11,6 @@
 #include <queue>
 #include <vector>
 
-#include "ckpt/io.hpp"
 #include "common/time.hpp"
 
 namespace sirius::sim {
@@ -43,14 +42,6 @@ class EventQueue {
   /// horizon now() advances to `until`, so a subsequent schedule_in() is
   /// anchored at the horizon rather than at the last executed event.
   std::int64_t run_until(Time until = Time::infinity());
-
-  /// Snapshottable — with a restriction: handlers are arbitrary closures
-  /// and cannot travel through a file, so only a *drained* queue (the state
-  /// between experiment phases, and the only state the slot-synchronous
-  /// checkpoints ever see) can be serialized. serialize() on a non-empty
-  /// queue is an error the reader reports on restore.
-  void serialize(ckpt::Writer& w) const;
-  bool restore(ckpt::Reader& r);
 
  private:
   struct Entry {

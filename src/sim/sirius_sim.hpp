@@ -28,7 +28,6 @@
 #include <vector>
 
 #include "check/auditors.hpp"
-#include "ckpt/io.hpp"
 #include "common/hot_path.hpp"
 #include "common/rng.hpp"
 #include "common/thread_safety.hpp"
@@ -287,14 +286,13 @@ class SiriusSim {
     return server / cfg_.servers_per_rack;
   }
 
-  void serialize_state(ckpt::Writer& w) const
-      SIRIUS_REQUIRES_SHARED(common::sim_slot_role);
-  bool restore_state_impl(ckpt::Reader& r)
-      SIRIUS_REQUIRES(common::sim_slot_role);
-  void serialize_telemetry(ckpt::Writer& w) const
-      SIRIUS_REQUIRES_SHARED(common::sim_slot_role);
-  bool restore_telemetry(ckpt::Reader& r)
-      SIRIUS_REQUIRES(common::sim_slot_role);
+  /// Checkpoint field list (ckpt/io.hpp) of the whole simulator, in
+  /// `sirius.ckpt.v1` section order; telemetry_fields() is its last
+  /// section.
+  template <class Io>
+  void fields(Io& io) SIRIUS_REQUIRES(common::sim_slot_role);
+  template <class Io>
+  void telemetry_fields(Io& io) SIRIUS_REQUIRES(common::sim_slot_role);
   /// FNV-1a over the geometry/knob fields that determine state layout and
   /// slot-loop behaviour, plus the workload. Seed, fault plan, telemetry,
   /// audit cadence and checkpoint cadence are excluded: those are the

@@ -1,5 +1,9 @@
 #include "stats/fct_tracker.hpp"
 
+#include <utility>
+
+#include "ckpt/io.hpp"
+
 namespace sirius::stats {
 
 void FctTracker::record(DataSize size, Time fct) {
@@ -27,28 +31,23 @@ FctSummary FctTracker::summarize() {
   return s;
 }
 
-
-void FctTracker::serialize(ckpt::Writer& w) const {
-  w.vec_f64(all_ms_.samples());
-  w.vec_f64(short_ms_.samples());
-  w.i64(completed_);
+template <class Io>
+void FctTracker::fields(Io& io) {
+  io.via(
+      all_ms_.samples(),
+      [this](std::vector<double> v) { all_ms_.set_samples(std::move(v)); },
+      "fct all-flow samples");
+  io.via(
+      short_ms_.samples(),
+      [this](std::vector<double> v) { short_ms_.set_samples(std::move(v)); },
+      "fct short-flow samples");
+  io(completed_);
+  io.check(completed_ >= 0 &&
+               all_ms_.count() == static_cast<std::size_t>(completed_) &&
+               short_ms_.count() <= all_ms_.count(),
+           "fct tracker state out of range");
 }
-
-bool FctTracker::restore(ckpt::Reader& r) {
-  auto all = r.vec_f64("fct all-flow samples");
-  auto shorts = r.vec_f64("fct short-flow samples");
-  const std::int64_t completed = r.i64();
-  if (!r.ok()) return false;
-  if (completed < 0 ||
-      all.size() != static_cast<std::size_t>(completed) ||
-      shorts.size() > all.size()) {
-    r.fail("fct tracker state out of range");
-    return false;
-  }
-  all_ms_.set_samples(std::move(all));
-  short_ms_.set_samples(std::move(shorts));
-  completed_ = completed;
-  return true;
-}
+template void FctTracker::fields(ckpt::Writer&);
+template void FctTracker::fields(ckpt::Reader&);
 
 }  // namespace sirius::stats

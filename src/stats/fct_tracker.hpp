@@ -7,7 +7,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "ckpt/snapshot.hpp"
 #include "common/histogram.hpp"
 #include "common/time.hpp"
 #include "common/units.hpp"
@@ -28,7 +27,7 @@ struct FctSummary {
 };
 
 /// Collects completion records and summarises them.
-class FctTracker : public ckpt::Snapshottable {
+class FctTracker {
  public:
   /// Records a completed flow of `size` with completion latency `fct`.
   void record(DataSize size, Time fct);
@@ -37,10 +36,11 @@ class FctTracker : public ckpt::Snapshottable {
 
   FctSummary summarize();
 
-  /// Snapshottable: samples travel in insertion order so the summary's
-  /// float accumulation is bit-identical after a restore.
-  void serialize(ckpt::Writer& w) const override;
-  bool restore(ckpt::Reader& r) override;
+  /// Checkpoint field list (ckpt/io.hpp): samples travel in insertion
+  /// order so the summary's float accumulation is bit-identical after a
+  /// restore.
+  template <class Io>
+  void fields(Io& io);
 
  private:
   PercentileTracker all_ms_;

@@ -1,5 +1,7 @@
 #include "stats/goodput.hpp"
 
+#include "ckpt/io.hpp"
+
 namespace sirius::stats {
 
 double GoodputMeter::normalized(Time horizon) const {
@@ -11,28 +13,17 @@ double GoodputMeter::normalized(Time horizon) const {
   return bits / capacity;
 }
 
-
-void GoodputMeter::serialize(ckpt::Writer& w) const {
-  w.i32(servers_);
-  w.i64(server_rate_.bits_per_sec());
-  w.i64(delivered_.in_bytes());
+template <class Io>
+void GoodputMeter::fields(Io& io) {
+  constexpr const char* kGeometry =
+      "goodput meter geometry does not match this run's config";
+  io.expect(servers_, kGeometry);
+  io.expect(server_rate_.bits_per_sec(), kGeometry);
+  io(delivered_);
+  io.check(delivered_ >= DataSize::zero(),
+           "goodput meter delivered bytes negative");
 }
-
-bool GoodputMeter::restore(ckpt::Reader& r) {
-  const std::int32_t servers = r.i32();
-  const std::int64_t rate_bps = r.i64();
-  const std::int64_t delivered = r.i64();
-  if (!r.ok()) return false;
-  if (servers != servers_ || rate_bps != server_rate_.bits_per_sec()) {
-    r.fail("goodput meter geometry does not match this run's config");
-    return false;
-  }
-  if (delivered < 0) {
-    r.fail("goodput meter delivered bytes negative");
-    return false;
-  }
-  delivered_ = DataSize::bytes(delivered);
-  return true;
-}
+template void GoodputMeter::fields(ckpt::Writer&);
+template void GoodputMeter::fields(ckpt::Reader&);
 
 }  // namespace sirius::stats

@@ -1,5 +1,7 @@
 #include "stats/occupancy.hpp"
 
+#include "ckpt/io.hpp"
+
 namespace sirius::stats {
 
 double OccupancyAggregator::mean_peak_bytes() const {
@@ -8,44 +10,26 @@ double OccupancyAggregator::mean_peak_bytes() const {
          static_cast<double>(entities_);
 }
 
-
-void ByteGauge::serialize(ckpt::Writer& w) const {
-  w.i64(current_.in_bytes());
-  w.i64(peak_.in_bytes());
+template <class Io>
+void ByteGauge::fields(Io& io) {
+  io(current_);
+  io(peak_);
+  io.check(current_ >= DataSize::zero() && peak_ >= current_,
+           "byte gauge state out of range");
 }
+template void ByteGauge::fields(ckpt::Writer&);
+template void ByteGauge::fields(ckpt::Reader&);
 
-bool ByteGauge::restore(ckpt::Reader& r) {
-  const std::int64_t current = r.i64();
-  const std::int64_t peak = r.i64();
-  if (!r.ok()) return false;
-  if (current < 0 || peak < current) {
-    r.fail("byte gauge state out of range");
-    return false;
-  }
-  current_ = DataSize::bytes(current);
-  peak_ = DataSize::bytes(peak);
-  return true;
+template <class Io>
+void OccupancyAggregator::fields(Io& io) {
+  io(worst_peak_);
+  io(sum_peaks_);
+  io(entities_);
+  io.check(worst_peak_ >= DataSize::zero() && sum_peaks_ >= DataSize::zero() &&
+               entities_ >= 0,
+           "occupancy aggregator state out of range");
 }
-
-void OccupancyAggregator::serialize(ckpt::Writer& w) const {
-  w.i64(worst_peak_.in_bytes());
-  w.i64(sum_peaks_.in_bytes());
-  w.i64(entities_);
-}
-
-bool OccupancyAggregator::restore(ckpt::Reader& r) {
-  const std::int64_t worst = r.i64();
-  const std::int64_t sum = r.i64();
-  const std::int64_t entities = r.i64();
-  if (!r.ok()) return false;
-  if (worst < 0 || sum < 0 || entities < 0) {
-    r.fail("occupancy aggregator state out of range");
-    return false;
-  }
-  worst_peak_ = DataSize::bytes(worst);
-  sum_peaks_ = DataSize::bytes(sum);
-  entities_ = entities;
-  return true;
-}
+template void OccupancyAggregator::fields(ckpt::Writer&);
+template void OccupancyAggregator::fields(ckpt::Reader&);
 
 }  // namespace sirius::stats

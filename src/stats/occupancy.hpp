@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <cstdint>
 
-#include "ckpt/io.hpp"
 #include "common/histogram.hpp"
 #include "common/units.hpp"
 
@@ -23,9 +22,9 @@ class ByteGauge {
   [[nodiscard]] DataSize current() const { return current_; }
   [[nodiscard]] DataSize peak() const { return peak_; }
 
-  /// Snapshottable (value type): current level + sticky peak.
-  void serialize(ckpt::Writer& w) const;
-  bool restore(ckpt::Reader& r);
+  /// Checkpoint field list (ckpt/io.hpp): current level + sticky peak.
+  template <class Io>
+  void fields(Io& io);
 
  private:
   DataSize current_;
@@ -44,9 +43,9 @@ class OccupancyAggregator {
   /// Mean of the observed per-entity peaks, in bytes.
   [[nodiscard]] double mean_peak_bytes() const;
 
-  /// Snapshottable (value type).
-  void serialize(ckpt::Writer& w) const;
-  bool restore(ckpt::Reader& r);
+  /// Checkpoint field list (ckpt/io.hpp).
+  template <class Io>
+  void fields(Io& io);
 
  private:
   DataSize worst_peak_;

@@ -1,6 +1,9 @@
 #include "stats/recovery.hpp"
 
 #include <algorithm>
+#include <utility>
+
+#include "ckpt/io.hpp"
 
 #include "common/invariant.hpp"
 
@@ -89,27 +92,19 @@ RecoverySummary RecoveryMeter::analyze(Time fault_at, double recover_frac,
   return out;
 }
 
-
-void RecoveryMeter::serialize(ckpt::Writer& w) const {
-  w.i32(servers_);
-  w.i64(server_rate_.bits_per_sec());
-  w.i64(bin_.picoseconds());
-  w.vec_f64(series_.bins());
+template <class Io>
+void RecoveryMeter::fields(Io& io) {
+  constexpr const char* kGeometry =
+      "recovery meter geometry does not match this run's config";
+  io.expect(servers_, kGeometry);
+  io.expect(server_rate_.bits_per_sec(), kGeometry);
+  io.expect(bin_, kGeometry);
+  io.via(
+      series_.bins(),
+      [this](std::vector<double> v) { series_.set_bins(std::move(v)); },
+      "recovery curve bins");
 }
-
-bool RecoveryMeter::restore(ckpt::Reader& r) {
-  const std::int32_t servers = r.i32();
-  const std::int64_t rate_bps = r.i64();
-  const std::int64_t bin_ps = r.i64();
-  auto bins = r.vec_f64("recovery curve bins");
-  if (!r.ok()) return false;
-  if (servers != servers_ || rate_bps != server_rate_.bits_per_sec() ||
-      bin_ps != bin_.picoseconds()) {
-    r.fail("recovery meter geometry does not match this run's config");
-    return false;
-  }
-  series_.set_bins(std::move(bins));
-  return true;
-}
+template void RecoveryMeter::fields(ckpt::Writer&);
+template void RecoveryMeter::fields(ckpt::Reader&);
 
 }  // namespace sirius::stats

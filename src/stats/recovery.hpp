@@ -13,7 +13,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "ckpt/snapshot.hpp"
 #include "common/time.hpp"
 #include "common/units.hpp"
 #include "telemetry/series.hpp"
@@ -42,7 +41,7 @@ struct RecoverySummary {
   bool recovered = false;
 };
 
-class RecoveryMeter : public ckpt::Snapshottable {
+class RecoveryMeter {
  public:
   /// `servers` and `server_rate` normalise bytes to fabric capacity, as in
   /// GoodputMeter; `bin` is the curve resolution.
@@ -72,9 +71,10 @@ class RecoveryMeter : public ckpt::Snapshottable {
     return series_;
   }
 
-  /// Snapshottable: geometry is validated, the accumulated bins travel.
-  void serialize(ckpt::Writer& w) const override;
-  bool restore(ckpt::Reader& r) override;
+  /// Checkpoint field list (ckpt/io.hpp): geometry is validated, the
+  /// accumulated bins travel.
+  template <class Io>
+  void fields(Io& io);
 
  private:
   std::int32_t servers_;
