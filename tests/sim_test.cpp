@@ -317,6 +317,13 @@ TEST(SiriusSim, ProtocolCountersConsistent) {
   // Second-hop transmissions: first-hop cells that did not land directly
   // on their destination.
   EXPECT_LE(r.slots_tx_relay, r.slots_tx_first);
+  // Ideal (scheduler-less) mode has no grants, but the transmission
+  // ledger is the same: every cell leaves its source exactly once.
+  SiriusSimConfig ideal_cfg = cfg;
+  ideal_cfg.ideal = true;
+  const auto ri = SiriusSim(ideal_cfg, w).run();
+  EXPECT_EQ(ri.incomplete_flows, 0);
+  EXPECT_LE(ri.slots_tx_relay, ri.slots_tx_first);
   std::int64_t expected_cells = 0;
   for (const auto& f : w.flows) {
     const bool intra = f.src_server / cfg.servers_per_rack ==
@@ -328,6 +335,8 @@ TEST(SiriusSim, ProtocolCountersConsistent) {
   }
   EXPECT_EQ(r.cells_delivered, expected_cells);
   EXPECT_EQ(r.slots_tx_first, expected_cells);
+  EXPECT_EQ(ri.cells_delivered, expected_cells);
+  EXPECT_EQ(ri.slots_tx_first, expected_cells);
 }
 
 TEST(SiriusSim, GrantDenialsAppearUnderQPressure) {
