@@ -7,7 +7,7 @@
 //   8      4     version (currently 1)
 //   12     8     payload length in bytes
 //   20     4     CRC-32 (IEEE 802.3, reflected) of the payload bytes
-//   24     n     payload (opaque to this layer; see sim serialize order)
+//   24     n     payload (opaque to this layer; see SiriusSim::fields)
 //
 // Writes are crash-safe via common/atomic_file; reads are defensive: an
 // empty file, truncated header, wrong magic, unsupported version,
