@@ -6,7 +6,6 @@
 
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <iomanip>
 #include <sstream>
 #include <string>
@@ -17,6 +16,7 @@
 #include "common/time.hpp"
 #include "sim/sirius_sim.hpp"
 #include "workload/generator.hpp"
+#include "golden.hpp"
 
 namespace sirius {
 namespace {
@@ -413,15 +413,6 @@ TEST(CkptDeterminism, ForkReseedDivergesAndReproduces) {
 // unnoticed. A justified update replaces the file's section with the
 // lines this test prints on mismatch, and says why in CHANGES.md.
 
-std::uint64_t fnv1a64(std::string_view bytes) {
-  std::uint64_t h = 14695981039346656037ull;
-  for (const char c : bytes) {
-    h ^= static_cast<std::uint8_t>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
 // One "<run> <index> <slot> <bytes> <digest>" line per emitted snapshot.
 std::vector<std::string> snapshot_lines(const std::string& run,
                                         sim::SiriusSimConfig cfg,
@@ -433,7 +424,7 @@ std::vector<std::string> snapshot_lines(const std::string& run,
     std::ostringstream line;
     line << run << ' ' << lines.size() << ' ' << slot << ' '
          << payload.size() << ' ' << std::hex << std::setw(16)
-         << std::setfill('0') << fnv1a64(payload);
+         << std::setfill('0') << golden::fnv1a64(payload);
     lines.push_back(line.str());
   };
   sim::SiriusSim(cfg, w).run();
@@ -449,23 +440,6 @@ sim::SiriusSimConfig clean_net() {
   return cfg;
 }
 
-// The non-comment lines under `[heading]` in the golden file.
-std::vector<std::string> golden_section(const std::string& path,
-                                        const std::string& heading) {
-  std::ifstream in(path);
-  std::vector<std::string> out;
-  bool inside = false;
-  for (std::string line; std::getline(in, line);) {
-    if (line.empty() || line[0] == '#') continue;
-    if (line[0] == '[') {
-      inside = line == "[" + heading + "]";
-      continue;
-    }
-    if (inside) out.push_back(line);
-  }
-  return out;
-}
-
 TEST(CkptGolden, SnapshotBytesMatchReference) {
   const auto faulted = faulted_net();
   std::vector<std::string> got =
@@ -477,15 +451,8 @@ TEST(CkptGolden, SnapshotBytesMatchReference) {
   }
   ASSERT_GT(got.size(), 10u) << "runs too short to pin anything";
 
-  const std::string path = std::string(SIRIUS_GOLDEN_DIR) + "/ckpt_v1.txt";
-  const std::string heading = "all";
-  const std::vector<std::string> want = golden_section(path, heading);
-  std::string computed;
-  for (const std::string& line : got) computed += line + "\n";
-  EXPECT_EQ(got, want) << "sirius.ckpt.v1 snapshot bytes differ from the ["
-                       << heading << "] section of " << path
-                       << "; computed:\n"
-                       << computed;
+  golden::expect_section(got, std::string(SIRIUS_GOLDEN_DIR) + "/ckpt_v1.txt",
+                         "all", "sirius.ckpt.v1 snapshot bytes");
 }
 
 }  // namespace
