@@ -1,6 +1,9 @@
 // Tests for the slot-synchronous Sirius simulator (sim/).
 #include <gtest/gtest.h>
 
+#include <thread>
+#include <utility>
+
 #include "sim/event_queue.hpp"
 #include "sim/sirius_sim.hpp"
 #include "workload/generator.hpp"
@@ -240,6 +243,65 @@ TEST(SiriusSim, DeterministicForSeed) {
   EXPECT_EQ(a.cells_delivered, b.cells_delivered);
   EXPECT_EQ(a.slots_simulated, b.slots_simulated);
   EXPECT_DOUBLE_EQ(a.goodput_normalized, b.goodput_normalized);
+}
+
+// Two simulations in one process share nothing: a faulted 16-rack run and
+// a clean 32-rack request/grant run give the same flow completions and
+// counters whether they run one after the other or at once on two
+// threads. Under the tsan preset this is also the data-race check over
+// all simulator state (default telemetry, no flight recorder: the
+// invariant failure hook is process-global).
+TEST(SiriusSim, ConcurrentRunsMatchSerial) {
+  SiriusSimConfig faulted = small_net();
+  faulted.faults.fail_rack(5, Time::us(40), Time::us(150));
+  faulted.faults.grey_link(1, 2, 0.3, Time::us(60), Time::us(120));
+  const auto faulted_wl = make_load(faulted, 0.5, 600);
+  SiriusSimConfig clean = small_net();
+  clean.racks = 32;
+  const auto clean_wl = make_load(clean, 0.5, 600);
+
+  const SiriusSimResult serial_a = SiriusSim(faulted, faulted_wl).run();
+  const SiriusSimResult serial_b = SiriusSim(clean, clean_wl).run();
+  SiriusSimResult a;
+  SiriusSimResult b;
+  std::thread ta([&] { a = SiriusSim(faulted, faulted_wl).run(); });
+  std::thread tb([&] { b = SiriusSim(clean, clean_wl).run(); });
+  ta.join();
+  tb.join();
+
+  ASSERT_GT(serial_a.failover.schedule_swaps, 0) << "fault never acted";
+  for (const auto& [serial, concurrent] :
+       {std::pair{&serial_a, &a}, std::pair{&serial_b, &b}}) {
+    EXPECT_EQ(concurrent->per_flow_completion, serial->per_flow_completion);
+    EXPECT_EQ(concurrent->slots_simulated, serial->slots_simulated);
+    EXPECT_EQ(concurrent->cells_delivered, serial->cells_delivered);
+    EXPECT_EQ(concurrent->incomplete_flows, serial->incomplete_flows);
+    EXPECT_EQ(concurrent->rejected_flows, serial->rejected_flows);
+    EXPECT_EQ(concurrent->requests_sent, serial->requests_sent);
+    EXPECT_EQ(concurrent->grants_issued, serial->grants_issued);
+    EXPECT_EQ(concurrent->grants_denied_q, serial->grants_denied_q);
+    EXPECT_EQ(concurrent->grants_released, serial->grants_released);
+    EXPECT_EQ(concurrent->slots_tx_relay, serial->slots_tx_relay);
+    EXPECT_EQ(concurrent->slots_tx_first, serial->slots_tx_first);
+    EXPECT_EQ(concurrent->failover.cells_dropped,
+              serial->failover.cells_dropped);
+    EXPECT_EQ(concurrent->failover.cells_retransmitted,
+              serial->failover.cells_retransmitted);
+    EXPECT_EQ(concurrent->failover.flows_aborted,
+              serial->failover.flows_aborted);
+    EXPECT_EQ(concurrent->failover.schedule_swaps,
+              serial->failover.schedule_swaps);
+    EXPECT_EQ(concurrent->failover.retx_abandoned,
+              serial->failover.retx_abandoned);
+    EXPECT_EQ(concurrent->failover.duplicates_discarded,
+              serial->failover.duplicates_discarded);
+    EXPECT_EQ(concurrent->failover.detection_rounds,
+              serial->failover.detection_rounds);
+    EXPECT_EQ(concurrent->failover.dissemination_rounds,
+              serial->failover.dissemination_rounds);
+    EXPECT_EQ(concurrent->goodput_normalized, serial->goodput_normalized);
+    EXPECT_EQ(concurrent->fct.all_fct_mean_ms, serial->fct.all_fct_mean_ms);
+  }
 }
 
 // Parameterised sweep: the simulator must terminate with zero incomplete
