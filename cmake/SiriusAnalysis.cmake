@@ -41,20 +41,6 @@ if(SIRIUS_SANITIZE)
   endif()
 endif()
 
-# Clang's -Wthread-safety analysis checks the SIRIUS_GUARDED_BY /
-# SIRIUS_REQUIRES role annotations (src/common/thread_safety.hpp). The
-# macros expand to nothing on other compilers, so the flag is clang-only;
-# under the lint preset the analysis is promoted to an error. Applied
-# directory-scoped in src/ only — tests, bench and tools call the
-# annotated API from unannotated contexts and are checked by tsan instead.
-set(SIRIUS_THREAD_SAFETY_OPTIONS "")
-if(CMAKE_CXX_COMPILER_ID MATCHES "Clang")
-  set(SIRIUS_THREAD_SAFETY_OPTIONS -Wthread-safety)
-  if(SIRIUS_LINT)
-    list(APPEND SIRIUS_THREAD_SAFETY_OPTIONS -Werror=thread-safety)
-  endif()
-endif()
-
 # Strict warning set for the unit-defining zone (src/common, src/check):
 # these TUs define the overflow-checked value types everything else trusts,
 # so silent narrowing or shadowing there corrupts every figure downstream.

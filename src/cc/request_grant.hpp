@@ -32,7 +32,6 @@
 #include "common/hot_path.hpp"
 #include "common/invariant.hpp"
 #include "common/rng.hpp"
-#include "common/thread_safety.hpp"
 #include "common/units.hpp"
 
 namespace sirius::cc {
@@ -76,10 +75,6 @@ struct RequestGrantConfig {
 };
 
 /// Per-node protocol state (both roles: source and intermediate).
-///
-/// Grant accounting is slot-core state: every mutating entry point requires
-/// common::sim_slot_role, so the future sharded slot loop cannot touch a
-/// node's protocol state from the wrong shard without a compile error.
 class RequestGrantNode {
  public:
   RequestGrantNode(NodeId self, const RequestGrantConfig& cfg);
@@ -90,8 +85,7 @@ class RequestGrantNode {
   // ---- intermediate role -------------------------------------------------
 
   /// Buffers a request received during the current epoch.
-  SIRIUS_HOT void receive_request(const Request& r)
-      SIRIUS_REQUIRES(common::sim_slot_role) {
+  SIRIUS_HOT void receive_request(const Request& r) {
     SIRIUS_INVARIANT(r.dst >= 0 && r.dst < cfg_.nodes && r.src >= 0 &&
                          r.src < cfg_.nodes,
                      "request %d -> %d outside the %d-node network", r.src,
@@ -106,8 +100,7 @@ class RequestGrantNode {
   /// random and issues grants subject to the queue bound.
   /// `queued_for(dst)` must return the current relay-queue depth for dst.
   template <typename QueuedFn>
-  SIRIUS_HOT std::vector<Grant> issue_grants(QueuedFn&& queued_for, Rng& rng)
-      SIRIUS_REQUIRES(common::sim_slot_role) {
+  SIRIUS_HOT std::vector<Grant> issue_grants(QueuedFn&& queued_for, Rng& rng) {
     shuffle_inbox(rng);
     std::vector<Grant> grants;
     grants.reserve(inbox_.size());
@@ -145,8 +138,7 @@ class RequestGrantNode {
   /// A granted cell arrived and was enqueued for `dst`. Every grant is
   /// settled exactly once (cell arrival or release), so the outstanding
   /// counter must be positive here — an underflow means double accounting.
-  SIRIUS_HOT void on_granted_cell_arrival(NodeId dst)
-      SIRIUS_REQUIRES(common::sim_slot_role) {
+  SIRIUS_HOT void on_granted_cell_arrival(NodeId dst) {
     auto& out = outstanding_[static_cast<std::size_t>(dst)];
     SIRIUS_INVARIANT(out > 0,
                      "node %d: grant accounting underflow for dst %d", self_,
@@ -157,8 +149,7 @@ class RequestGrantNode {
   /// The source released an unusable grant for `dst`. Unlike cell arrival,
   /// duplicate releases are part of the contract (a source may redundantly
   /// release), so this clamps at zero instead of auditing.
-  SIRIUS_HOT void on_grant_release(NodeId dst)
-      SIRIUS_REQUIRES(common::sim_slot_role) {
+  SIRIUS_HOT void on_grant_release(NodeId dst) {
     auto& out = outstanding_[static_cast<std::size_t>(dst)];
     if (out > 0) --out;
     ++stat_releases_;
@@ -168,7 +159,7 @@ class RequestGrantNode {
   /// (§4.5: detected failures are communicated datacenter-wide to prevent
   /// blackholing through the failed relay). Out-of-range ids are an
   /// invariant violation and are ignored on the defensive path.
-  void exclude(NodeId node) SIRIUS_REQUIRES(common::sim_slot_role) {
+  void exclude(NodeId node) {
     SIRIUS_INVARIANT(node >= 0 && node < cfg_.nodes,
                      "node %d: exclude of node %d outside the %d-node network",
                      self_, node, cfg_.nodes);
@@ -177,15 +168,14 @@ class RequestGrantNode {
   }
   /// Re-admits a previously excluded node (§4.5 recovery: the control
   /// plane re-provisions a repaired rack at a round boundary).
-  void include(NodeId node) SIRIUS_REQUIRES(common::sim_slot_role) {
+  void include(NodeId node) {
     SIRIUS_INVARIANT(node >= 0 && node < cfg_.nodes,
                      "node %d: include of node %d outside the %d-node network",
                      self_, node, cfg_.nodes);
     if (node < 0 || node >= cfg_.nodes) return;
     excluded_[static_cast<std::size_t>(node)] = 0;
   }
-  [[nodiscard]] bool is_excluded(NodeId node) const
-      SIRIUS_REQUIRES_SHARED(common::sim_slot_role) {
+  [[nodiscard]] bool is_excluded(NodeId node) const {
     SIRIUS_INVARIANT(node >= 0 && node < cfg_.nodes,
                      "node %d: is_excluded of node %d outside the %d-node "
                      "network",
@@ -198,34 +188,22 @@ class RequestGrantNode {
   /// outstanding-grant counters — without touching exclusions or stats.
   /// Used when this node itself fail-stops: a rebooted rack must not
   /// inherit grant accounting from before the crash.
-  void clear_protocol_state() SIRIUS_REQUIRES(common::sim_slot_role) {
+  void clear_protocol_state() {
     inbox_.clear();
     std::fill(outstanding_.begin(), outstanding_.end(), 0);
   }
 
-  [[nodiscard]] std::int32_t outstanding(NodeId dst) const
-      SIRIUS_REQUIRES_SHARED(common::sim_slot_role) {
+  [[nodiscard]] std::int32_t outstanding(NodeId dst) const {
     return outstanding_[static_cast<std::size_t>(dst)];
   }
 
   /// Protocol counters (cumulative over the node's lifetime).
-  [[nodiscard]] std::int64_t stat_requests_received() const
-      SIRIUS_REQUIRES_SHARED(common::sim_slot_role) {
+  [[nodiscard]] std::int64_t stat_requests_received() const {
     return stat_requests_;
   }
-  [[nodiscard]] std::int64_t stat_grants_issued() const
-      SIRIUS_REQUIRES_SHARED(common::sim_slot_role) {
-    return stat_grants_;
-  }
-  [[nodiscard]] std::int64_t stat_denied_queue_bound() const
-      SIRIUS_REQUIRES_SHARED(common::sim_slot_role) {
+  [[nodiscard]] std::int64_t stat_grants_issued() const { return stat_grants_; }
+  [[nodiscard]] std::int64_t stat_denied_queue_bound() const {
     return stat_denied_q_;
-  }
-  /// Release callbacks received at this intermediate (duplicates included —
-  /// redundant releases are part of the contract).
-  [[nodiscard]] std::int64_t stat_grants_released() const
-      SIRIUS_REQUIRES_SHARED(common::sim_slot_role) {
-    return stat_releases_;
   }
 
   // ---- source role -------------------------------------------------------
@@ -255,8 +233,7 @@ class RequestGrantNode {
   std::vector<OutgoingRequest> build_requests(
       const std::vector<NodeId>& pending, std::int64_t epoch, Rng& rng,
       const std::function<bool(NodeId)>& usable = {},
-      const std::function<bool(NodeId, NodeId)>& relay_ok = {})
-      SIRIUS_REQUIRES(common::sim_slot_role);
+      const std::function<bool(NodeId, NodeId)>& relay_ok = {});
 
   /// Checkpoint field list (ckpt/io.hpp): inbox, outstanding-grant
   /// counters, exclusions and lifetime stats. The per-epoch scratch
@@ -264,34 +241,24 @@ class RequestGrantNode {
   /// and is all-zero at the slot-top checkpoint instant, so it does not
   /// travel.
   template <class Io>
-  void fields(Io& io) SIRIUS_REQUIRES(common::sim_slot_role);
+  void fields(Io& io);
 
  private:
-  void shuffle_inbox(Rng& rng) SIRIUS_REQUIRES(common::sim_slot_role);
-  void pool_remove(NodeId n) SIRIUS_REQUIRES(common::sim_slot_role);
+  void shuffle_inbox(Rng& rng);
+  void pool_remove(NodeId n);
 
   NodeId self_;
   RequestGrantConfig cfg_;
-  std::vector<Request> inbox_ SIRIUS_GUARDED_BY(common::sim_slot_role);
-  // per destination
-  std::vector<std::int32_t> outstanding_
-      SIRIUS_GUARDED_BY(common::sim_slot_role);
-  // per destination
-  std::vector<std::uint8_t> picked_this_epoch_
-      SIRIUS_GUARDED_BY(common::sim_slot_role);
-  // scratch: unused intermediates
-  std::vector<NodeId> intermediate_pool_
-      SIRIUS_GUARDED_BY(common::sim_slot_role);
-  // node -> index in pool, -1=used
-  std::vector<std::int32_t> pool_pos_
-      SIRIUS_GUARDED_BY(common::sim_slot_role);
-  // failed nodes, never relays
-  std::vector<std::uint8_t> excluded_
-      SIRIUS_GUARDED_BY(common::sim_slot_role);
-  std::int64_t stat_requests_ SIRIUS_GUARDED_BY(common::sim_slot_role) = 0;
-  std::int64_t stat_grants_ SIRIUS_GUARDED_BY(common::sim_slot_role) = 0;
-  std::int64_t stat_denied_q_ SIRIUS_GUARDED_BY(common::sim_slot_role) = 0;
-  std::int64_t stat_releases_ SIRIUS_GUARDED_BY(common::sim_slot_role) = 0;
+  std::vector<Request> inbox_;
+  std::vector<std::int32_t> outstanding_;   // per destination
+  std::vector<std::uint8_t> picked_this_epoch_;  // per destination
+  std::vector<NodeId> intermediate_pool_;   // scratch: unused intermediates
+  std::vector<std::int32_t> pool_pos_;      // node -> index in pool, -1=used
+  std::vector<std::uint8_t> excluded_;      // failed nodes, never relays
+  std::int64_t stat_requests_ = 0;
+  std::int64_t stat_grants_ = 0;
+  std::int64_t stat_denied_q_ = 0;
+  std::int64_t stat_releases_ = 0;  // read only by the sirius.ckpt.v1 layout
 };
 
 }  // namespace sirius::cc

@@ -15,8 +15,8 @@ namespace {
 // Kept out of the class so the header stays dependency-free for the hot
 // paths that include it (common/time.hpp is pulled in nearly everywhere).
 // The invariant registry is deliberately process-wide — it aggregates
-// violations across every sim in the process — and is already shard-safe:
-// atomics for the counters, mutexes for the report/hook lists.
+// violations across every sim in the process — and is safe for concurrent
+// runs: atomics for the counters, mutexes for the report/hook lists.
 // sirius-lint: allow(no-mutable-global-state)
 std::atomic<InvariantMode> g_mode{InvariantMode::kAbort};
 // sirius-lint: allow(no-mutable-global-state)
@@ -38,7 +38,7 @@ std::function<void()>& failure_hook() {
 }
 // Guards against a hook that itself trips an invariant (the flight
 // recorder's dump path must never recurse back into fail()). thread_local,
-// so each shard worker gets its own recursion latch.
+// so each thread running a sim gets its own recursion latch.
 // sirius-lint: allow(no-mutable-global-state)
 thread_local bool g_in_failure_hook = false;
 
@@ -58,7 +58,7 @@ void run_failure_hook() {
 }  // namespace
 
 InvariantContext& InvariantContext::instance() {
-  // Meyers singleton over the shard-safe registry above; the object itself
+  // Meyers singleton over the thread-safe registry above; the object itself
   // is stateless (all state lives in the guarded globals).
   // sirius-lint: allow(no-mutable-global-state)
   static InvariantContext ctx;

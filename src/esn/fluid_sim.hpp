@@ -83,8 +83,8 @@ class EsnFluidSim {
   Time measure_end_;
 
   // recompute_rates() scratch, owned by the solver instance so the
-  // water-filling pass carries no function-static state (each future shard
-  // gets its own solver, so shards never meet through these).
+  // water-filling pass carries no function-static state (two runs in one
+  // process each own a solver, so they never meet through these).
   std::vector<double> scratch_cap_;
   std::vector<std::int32_t> scratch_cnt_;
   std::vector<std::vector<std::int32_t>> scratch_members_;

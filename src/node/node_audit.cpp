@@ -7,8 +7,7 @@
 namespace sirius::node {
 
 void audit_queue_bound(const Node& n, std::int32_t queue_limit,
-                       std::int32_t bound)
-    SIRIUS_REQUIRES_SHARED(common::sim_slot_role) {
+                       std::int32_t bound) {
   const auto& cc = n.cc();
   for (NodeId d = 0; d < static_cast<NodeId>(n.queue_span()); ++d) {
     const std::int32_t fq = n.fq_depth(d);

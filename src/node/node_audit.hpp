@@ -10,8 +10,6 @@
 
 #include <cstdint>
 
-#include "common/thread_safety.hpp"
-
 namespace sirius::node {
 
 class Node;
@@ -24,8 +22,7 @@ class ReorderBuffer;
 /// queue alone may transiently hold up to Q plus the in-flight allowance
 /// (see SiriusSim::transmit_slot).
 void audit_queue_bound(const Node& n, std::int32_t queue_limit,
-                       std::int32_t bound)
-    SIRIUS_REQUIRES_SHARED(common::sim_slot_role);
+                       std::int32_t bound);
 
 /// Structural consistency of a live reorder buffer.
 void audit_reorder(const ReorderBuffer& rb);

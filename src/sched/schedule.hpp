@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "common/hot_path.hpp"
-#include "common/thread_safety.hpp"
 #include "common/units.hpp"
 #include "topo/sirius_topology.hpp"
 
@@ -32,11 +31,6 @@ namespace sirius::sched {
 /// lost bandwidth". Members keep their global NodeIds; the rotation runs
 /// over member indices, so contention-freeness and the once-per-round
 /// property hold within the alive set.
-///
-/// The tables are written once (construction / the simulator's failover
-/// swap) and read on every slot, so lookups require only a *shared* hold of
-/// common::sim_slot_role: sharded slot workers may all read the calendar
-/// concurrently, while swapping it in will need the exclusive role.
 class CyclicSchedule final {
  public:
   CyclicSchedule(std::int32_t nodes, std::int32_t uplinks);
@@ -44,20 +38,14 @@ class CyclicSchedule final {
   CyclicSchedule(std::vector<NodeId> members, std::int32_t uplinks);
 
   /// Number of *participating* nodes (= member count).
-  [[nodiscard]] std::int32_t nodes() const
-      SIRIUS_REQUIRES_SHARED(common::sim_slot_role) {
+  [[nodiscard]] std::int32_t nodes() const {
     return members_ ? member_count_ : nodes_;
   }
-  [[nodiscard]] std::int32_t uplinks() const
-      SIRIUS_REQUIRES_SHARED(common::sim_slot_role) {
-    return uplinks_;
-  }
-  [[nodiscard]] bool is_member(NodeId n) const
-      SIRIUS_REQUIRES_SHARED(common::sim_slot_role);
+  [[nodiscard]] std::int32_t uplinks() const { return uplinks_; }
+  [[nodiscard]] bool is_member(NodeId n) const;
 
   /// Slots per round; one round connects each ordered pair exactly once.
-  [[nodiscard]] std::int32_t slots_per_round() const
-      SIRIUS_REQUIRES_SHARED(common::sim_slot_role) {
+  [[nodiscard]] std::int32_t slots_per_round() const {
     return slots_per_round_;
   }
 
@@ -65,14 +53,12 @@ class CyclicSchedule final {
   /// kInvalidNode if that uplink is idle in this slot (padding when
   /// (N-1) is not a multiple of U).
   [[nodiscard]] SIRIUS_HOT NodeId peer_tx(NodeId src, UplinkId u,
-                                          std::int64_t t) const
-      SIRIUS_REQUIRES_SHARED(common::sim_slot_role);
+                                          std::int64_t t) const;
 
   /// Source heard by node `dst` on downlink `u` at slot `t`, or
   /// kInvalidNode when idle.
   [[nodiscard]] SIRIUS_HOT NodeId peer_rx(NodeId dst, UplinkId u,
-                                          std::int64_t t) const
-      SIRIUS_REQUIRES_SHARED(common::sim_slot_role);
+                                          std::int64_t t) const;
 
   /// The (slot-in-round, uplink) at which `src` talks to `dst`. Each
   /// ordered pair occurs exactly once per round.
@@ -80,17 +66,14 @@ class CyclicSchedule final {
     std::int32_t slot_in_round;
     UplinkId uplink;
   };
-  Connection connection(NodeId src, NodeId dst) const
-      SIRIUS_REQUIRES_SHARED(common::sim_slot_role);
+  Connection connection(NodeId src, NodeId dst) const;
 
   /// Round index containing global slot `t`.
-  [[nodiscard]] std::int64_t round_of(std::int64_t t) const
-      SIRIUS_REQUIRES_SHARED(common::sim_slot_role) {
+  [[nodiscard]] std::int64_t round_of(std::int64_t t) const {
     return t / slots_per_round_;
   }
   /// First global slot of round `r`.
-  [[nodiscard]] std::int64_t round_start(std::int64_t r) const
-      SIRIUS_REQUIRES_SHARED(common::sim_slot_role) {
+  [[nodiscard]] std::int64_t round_start(std::int64_t r) const {
     return r * slots_per_round_;
   }
 
@@ -99,28 +82,21 @@ class CyclicSchedule final {
   /// the tables (and re-validates, so hostile input cannot build an
   /// inconsistent schedule or one outside the run's `racks` and `uplinks`).
   template <class Io>
-  void fields(Io& io, std::int32_t racks, std::int32_t uplinks)
-      SIRIUS_REQUIRES(common::sim_slot_role);
+  void fields(Io& io, std::int32_t racks, std::int32_t uplinks);
 
  private:
-  [[nodiscard]] std::int32_t offset_of(UplinkId u, std::int64_t t) const
-      SIRIUS_REQUIRES_SHARED(common::sim_slot_role);
+  [[nodiscard]] std::int32_t offset_of(UplinkId u, std::int64_t t) const;
   // member index, -1 if not member
-  [[nodiscard]] std::int32_t index_of(NodeId n) const
-      SIRIUS_REQUIRES_SHARED(common::sim_slot_role);
-  [[nodiscard]] NodeId node_at(std::int32_t index) const
-      SIRIUS_REQUIRES_SHARED(common::sim_slot_role);
+  [[nodiscard]] std::int32_t index_of(NodeId n) const;
+  [[nodiscard]] NodeId node_at(std::int32_t index) const;
 
-  std::int32_t nodes_ SIRIUS_GUARDED_BY(common::sim_slot_role);
-  std::int32_t uplinks_ SIRIUS_GUARDED_BY(common::sim_slot_role);
-  std::int32_t slots_per_round_ SIRIUS_GUARDED_BY(common::sim_slot_role);
-  bool members_ SIRIUS_GUARDED_BY(common::sim_slot_role) = false;
-  std::int32_t member_count_ SIRIUS_GUARDED_BY(common::sim_slot_role) = 0;
-  // index -> NodeId
-  std::vector<NodeId> member_list_ SIRIUS_GUARDED_BY(common::sim_slot_role);
-  // NodeId -> index, -1 if absent
-  std::vector<std::int32_t> member_index_
-      SIRIUS_GUARDED_BY(common::sim_slot_role);
+  std::int32_t nodes_;
+  std::int32_t uplinks_;
+  std::int32_t slots_per_round_;
+  bool members_ = false;
+  std::int32_t member_count_ = 0;
+  std::vector<NodeId> member_list_;       // index -> NodeId
+  std::vector<std::int32_t> member_index_;  // NodeId -> index, -1 if absent
 };
 
 /// Maps the abstract schedule onto physical wavelengths for a topology and
@@ -128,7 +104,6 @@ class CyclicSchedule final {
 /// slot of a round, every populated AWGR output port receives light from
 /// at most one input.
 bool physically_contention_free(const topo::SiriusTopology& topo,
-                                const CyclicSchedule& sched)
-    SIRIUS_REQUIRES_SHARED(common::sim_slot_role);
+                                const CyclicSchedule& sched);
 
 }  // namespace sirius::sched

@@ -8,8 +8,7 @@
 
 namespace sirius::sched {
 
-void audit_slot_permutation(const CyclicSchedule& sched, std::int64_t slot)
-    SIRIUS_REQUIRES_SHARED(common::sim_slot_role) {
+void audit_slot_permutation(const CyclicSchedule& sched, std::int64_t slot) {
   // Contention-freeness is per uplink: for a fixed (u, slot) the src -> dst
   // map is a bijection. Across uplinks a node legitimately receives up to
   // U cells per slot (one per downlink), so each uplink is audited alone.

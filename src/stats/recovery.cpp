@@ -48,9 +48,9 @@ RecoverySummary RecoveryMeter::analyze(Time fault_at, double recover_frac,
   std::size_t first_post = bins.size();
   for (std::size_t i = 0; i < bins.size(); ++i) {
     if (bins[i].start + bin_ <= fault_at) {
-      // Deterministic reduction: bins are iterated in dense index order, so
-      // the floating-point sum is bit-identical run to run and shard count
-      // can never change it (the curve is assembled on one thread).
+      // Deterministic reduction: bins are iterated in dense index order on
+      // the one thread that runs the sim, so the floating-point sum is
+      // bit-identical run to run.
       // sirius-lint: allow(float-reduction-order)
       pre_sum += bins[i].goodput_normalized;
       ++pre_n;

@@ -51,7 +51,7 @@ foreach(f IN LISTS fixtures)
   if(f MATCHES "^dead_symbol")
     set(extra "--dead-symbols")
   endif()
-  # src/sim covers the src-wide and shard-boundary rules; src/stats covers
+  # src/sim covers the src-wide and sim-reachable rules; src/stats covers
   # the float-reduction rule (scoped to stats/ and esn/ only).
   foreach(dir IN ITEMS src/sim src/stats)
     execute_process(

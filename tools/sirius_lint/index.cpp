@@ -1,5 +1,5 @@
 // Pass 1 (structural scanner) and pass 2 (cross-file rules) of the
-// shard-safety analyzer. See index.hpp for the architecture overview and
+// cross-file analyzer. See index.hpp for the architecture overview and
 // docs/STATIC_ANALYSIS.md for the rule table.
 //
 // The scanner walks the scrubbed code view character by character keeping a
@@ -92,17 +92,13 @@ bool is_cpp_keyword(const std::string& name) {
   return kKeywords.count(name) != 0;
 }
 
-/// Strips SIRIUS_* thread-safety macros and alignas(...) from a statement
-/// (with or without an argument list), so declarations classify the same
-/// annotated and bare. Sets *guarded when a (PT_)GUARDED_BY was present.
-std::string strip_attr_macros(const std::string& s, bool* guarded) {
+/// Strips SIRIUS_* attribute macros (SIRIUS_HOT) and alignas(...) from a
+/// statement (with or without an argument list), so declarations classify
+/// the same annotated and bare.
+std::string strip_attr_macros(const std::string& s) {
   static const std::regex with_args(
       R"((\bSIRIUS_[A-Z_]+|\balignas)\s*\(([^()]|\([^()]*\))*\))");
   static const std::regex bare(R"(\bSIRIUS_[A-Z_]+\b)");
-  if (guarded) {
-    static const std::regex g(R"(\bSIRIUS_(PT_)?GUARDED_BY\s*\()");
-    *guarded = std::regex_search(s, g);
-  }
   return std::regex_replace(std::regex_replace(s, with_args, " "), bare, " ");
 }
 
@@ -363,7 +359,7 @@ class Scanner {
       fd.name = s.name;
       fd.line = head_line + 1;
       fd.hot = has_token(raw, "SIRIUS_HOT");
-      fd.signature = trim(strip_attr_macros(raw, nullptr));
+      fd.signature = trim(strip_attr_macros(raw));
       // The defining scope, seen from outside this new function scope.
       if (scopes_.size() >= 2) {
         for (auto it = std::next(scopes_.rbegin()); it != scopes_.rend();
@@ -393,7 +389,7 @@ class Scanner {
       ClassDecl cd;
       cd.name = s.name;
       cd.line = head_line + 1;
-      cd.is_final = has_token(trim(strip_attr_macros(raw, nullptr)), "final");
+      cd.is_final = has_token(trim(strip_attr_macros(raw)), "final");
       idx_.classes.push_back(cd);
     }
     if (s.kind == Scope::kLoop || s.kind == Scope::kFunction) {
@@ -446,7 +442,7 @@ class Scanner {
       }
       return s;
     }
-    const std::string pending = trim(strip_attr_macros(raw_pending, nullptr));
+    const std::string pending = trim(strip_attr_macros(raw_pending));
     if (pending.empty()) {
       s.kind = Scope::kBlock;
       return s;
@@ -553,8 +549,7 @@ class Scanner {
 
   /// Statement directly in a namespace / at file scope.
   void handle_global(const std::string& raw, int line0) {
-    bool guarded = false;
-    const std::string stmt = trim(strip_attr_macros(raw, &guarded));
+    const std::string stmt = trim(strip_attr_macros(raw));
     if (stmt.empty()) return;
     const auto toks = ident_tokens(stmt);
     if (toks.size() < 2) return;
@@ -596,8 +591,7 @@ class Scanner {
   /// Statement directly in a class body: member declarations.
   void handle_field(const std::string& raw, int line0,
                     const std::string& klass) {
-    bool guarded = false;
-    const std::string stmt = trim(strip_attr_macros(raw, &guarded));
+    const std::string stmt = trim(strip_attr_macros(raw));
     if (stmt.empty()) return;
     if (has_any_token(stmt, {"using", "typedef", "friend", "template",
                              "static_assert", "operator", "public",
@@ -651,7 +645,6 @@ class Scanner {
     f.klass = klass;
     f.name = name;
     f.line = line0 + 1;
-    f.annotated = guarded;
     const std::size_t at = decl.rfind(name);
     f.type_text = trim(at == std::string::npos ? decl : decl.substr(0, at));
     idx_.fields.push_back(f);
@@ -660,7 +653,7 @@ class Scanner {
 
   /// Statement inside a function body: function-local statics + float names.
   void handle_local(const std::string& raw, int line0) {
-    const std::string stmt = trim(strip_attr_macros(raw, nullptr));
+    const std::string stmt = trim(strip_attr_macros(raw));
     if (stmt.empty()) return;
     const auto toks = ident_tokens(stmt);
     if (toks.empty()) return;
@@ -749,7 +742,7 @@ void rule_mutable_global(const std::vector<FileIndex>& files,
         msg << "mutable " << (g.is_thread_local ? "thread_local" : "namespace-scope")
             << " state `" << g.name << "`";
       }
-      msg << " in library code: sharded slot execution cannot share it; "
+      msg << " in library code: two runs in one process would share it; "
              "move it into an owning object, or allow() with a written "
              "justification and an ALLOWLIST.md entry";
       report(out, f, g.line, "no-mutable-global-state", msg.str());
@@ -833,7 +826,7 @@ void rule_unordered_sim_state(const std::vector<FileIndex>& files,
                "field `" + fld.name + "` of sim-reachable type `" +
                    fld.klass +
                    "` uses std::unordered_*: hash iteration order would "
-                   "leak into the deterministic merge; use std::map/set or "
+                   "leak into the run's results; use std::map/set or "
                    "an index-keyed vector");
       }
     }
@@ -853,28 +846,6 @@ void rule_pointer_key_order(const std::vector<FileIndex>& files,
                "addresses differ run to run, so iteration order is not "
                "reproducible; key on a stable id instead");
       }
-    }
-  }
-}
-
-void rule_shared_mutable_ref(const std::vector<FileIndex>& files,
-                             std::vector<Violation>& out) {
-  for (const FileIndex& f : files) {
-    if (!under_src(f.effective_path, {"sim", "node", "cc", "sched"})) continue;
-    for (const Field& fld : f.fields) {
-      if (fld.annotated) continue;
-      const std::string t = strip_angle_contents(fld.type_text);
-      if (t.find('*') == std::string::npos &&
-          t.find('&') == std::string::npos) {
-        continue;
-      }
-      if (has_token(t, "const")) continue;
-      report(out, f, fld.line, "no-shared-mutable-ref",
-             "member `" + fld.name + "` of `" + fld.klass +
-                 "` aliases mutable state across a future shard boundary "
-                 "(non-const pointer/reference): annotate it with "
-                 "SIRIUS_GUARDED_BY(<role>) to declare the sharing, or "
-                 "allow() with a justification");
     }
   }
 }
@@ -920,7 +891,7 @@ void rule_telemetry_escape(const std::vector<FileIndex>& files,
       report(out, f, static_cast<int>(li) + 1, "singleton-telemetry-escape",
              "telemetry Hub registry access outside a constructor or "
              "bind_metrics(): bind instrument pointers once at init and "
-             "use those on the hot path, so shards never race on the "
+             "use those on the hot path, so the slot loop never walks the "
              "registry");
     }
   }
@@ -1416,7 +1387,6 @@ std::vector<Violation> evaluate_tree(const std::vector<FileIndex>& files,
   rule_mutable_global(files, out);
   rule_unordered_sim_state(files, out);
   rule_pointer_key_order(files, out);
-  rule_shared_mutable_ref(files, out);
   rule_float_reduction(files, out);
   rule_telemetry_escape(files, out);
   const HotClosure hc = build_hot_closure(files);

@@ -1,10 +1,11 @@
-// Pass 1 of the two-pass shard-safety analyzer: per-file symbol extraction.
+// Pass 1 of the two-pass cross-file analyzer: per-file symbol extraction.
 //
-// sirius-lint grew beyond line-local regexes when the sharded slot-core work
-// (ROADMAP item 2) needed rules about *state*, not tokens: mutable globals,
-// container fields whose iteration order leaks into results, cross-component
-// aliasing. Those need to know what a file *declares*, and one of them
-// (no-unordered-sim-state) needs the include graph of the whole scanned set.
+// sirius-lint grew beyond line-local regexes when keeping simulator runs
+// independent and reproducible needed rules about *state*, not tokens:
+// mutable globals (which two runs in one process would share), container
+// fields whose iteration order leaks into results. Those need to know what
+// a file *declares*, and one of them (no-unordered-sim-state) needs the
+// include graph of the whole scanned set.
 //
 // So the linter now runs in two passes:
 //
@@ -18,7 +19,7 @@
 //     `sirius-lint: allow(...)` suppression site.
 //
 //   pass 2 (evaluate_tree): the merged index is evaluated against the
-//     cross-file shard-safety rules (see docs/STATIC_ANALYSIS.md for the
+//     cross-file rules (see docs/STATIC_ANALYSIS.md for the
 //     full table) — e.g. sim-reachability is the transitive closure of the
 //     include edges from src/sim, and the allowlist cross-check compares
 //     suppression sites against tools/sirius_lint/ALLOWLIST.md.
@@ -43,14 +44,10 @@ struct Field {
   std::string type_text;  ///< declaration text left of the member name
   std::string name;
   int line = 0;  ///< 1-based
-  /// Carries a SIRIUS_GUARDED_BY / SIRIUS_PT_GUARDED_BY thread-safety
-  /// annotation (the no-shared-mutable-ref escape hatch: annotated sharing
-  /// is declared sharing).
-  bool annotated = false;
 };
 
 /// A mutable namespace-scope variable, static data member, or
-/// function-local `static` — the state the sharded core must not meet.
+/// function-local `static` — state two runs in one process would share.
 struct GlobalVar {
   std::string name;
   int line = 0;                ///< 1-based
@@ -138,7 +135,7 @@ struct EvalOptions {
   bool dead_symbols = false;
 };
 
-/// Pass 2: evaluates the cross-file shard-safety rules over the merged
+/// Pass 2: evaluates the cross-file rules over the merged
 /// index. `allowlist_path` enables the ALLOWLIST.md sync check when
 /// non-empty. Suppression comments are honoured exactly like pass-1 rules.
 std::vector<Violation> evaluate_tree(const std::vector<FileIndex>& files,

@@ -128,16 +128,13 @@ const std::vector<std::regex>& compiled_rules() {
 constexpr RuleInfo kPass2Rules[] = {
     {"no-mutable-global-state",
      "mutable namespace-scope / function-static state is banned in src/ "
-     "(shards cannot share it)"},
+     "(two runs in one process would share it)"},
     {"no-unordered-sim-state",
      "std::unordered_* fields are banned in sim-reachable types (iteration "
-     "order would break the deterministic merge)"},
+     "order would leak into the run's results)"},
     {"no-pointer-key-order",
      "ordered containers / comparators keyed on pointer values are banned "
      "in src/ (addresses vary run to run)"},
-    {"no-shared-mutable-ref",
-     "non-const reference/pointer members in sim/, node/, cc/, sched/ must "
-     "carry SIRIUS_GUARDED_BY (declared sharing) or a justification"},
     {"float-reduction-order",
      "floating-point += accumulation in loops in stats/ and esn/ needs a "
      "reduction-order justification"},

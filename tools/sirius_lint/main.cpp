@@ -1,5 +1,5 @@
 // CLI driver for sirius-lint. See linter.hpp for the line rules, index.hpp
-// for the two-pass shard-safety analysis, and docs/STATIC_ANALYSIS.md for
+// for the two-pass cross-file analysis, and docs/STATIC_ANALYSIS.md for
 // the full rule table and rationale.
 //
 // Usage:
@@ -11,7 +11,7 @@
 //
 // Every scanned file goes through both passes: pass 1 runs the line rules
 // and extracts the file's symbol index; pass 2 evaluates the cross-file
-// shard-safety rules over the merged index of everything scanned.
+// rules over the merged index of everything scanned.
 //
 // Options:
 //   --json <path>       also write a machine-readable JSON report (includes
@@ -194,7 +194,7 @@ int main(int argc, char** argv) {
                                              item.effective, item.kind));
   }
 
-  // Pass 2: cross-file shard-safety rules over the merged index.
+  // Pass 2: cross-file rules over the merged index.
   auto vs = sirius::lint::evaluate_tree(index, allowlist_path, eval_opts);
   all.insert(all.end(), vs.begin(), vs.end());
 
