@@ -215,8 +215,8 @@ struct SiriusSimResult {
 /// The slot loop is single-threaded and every piece of run state belongs
 /// to the sim, so independent runs may go on separate threads at once
 /// (DESIGN.md §4: parallelism is across runs, not inside the lock-step
-/// slot loop). The one process-wide link is the invariant failure hook a
-/// flight-recording hub installs (telemetry::Hub::attach_nodes).
+/// slot loop). What runs share is the process-wide invariant registry and
+/// the failure hook a flight-recording hub installs (Hub::attach_nodes).
 class SiriusSim {
  public:
   SiriusSim(SiriusSimConfig cfg, const workload::Workload& workload);
