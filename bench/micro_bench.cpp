@@ -1,6 +1,7 @@
 // Microbenchmarks (google-benchmark) for the hot paths of the library:
 // AWGR routing, schedule lookups, laser-latency queries, RNG, workload
-// generation and end-to-end simulator slot throughput.
+// generation, end-to-end simulator slot throughput and the ESN fluid
+// baseline's rate recomputes.
 //
 // `micro_bench --summary [path]` skips google-benchmark and instead runs
 // the end-to-end slot-throughput scenario once, writing a machine-readable
@@ -20,6 +21,7 @@
 #include "ckpt/checkpoint.hpp"
 #include "common/atomic_file.hpp"
 #include "common/rng.hpp"
+#include "esn/fluid_sim.hpp"
 #include "fec/reed_solomon.hpp"
 #include "frame/cell_frame.hpp"
 #include "optical/awgr.hpp"
@@ -159,6 +161,34 @@ void BM_SiriusSimSlots(benchmark::State& state) {
   state.SetItemsProcessed(slots);
 }
 BENCHMARK(BM_SiriusSimSlots)->Unit(benchmark::kMillisecond);
+
+void BM_EsnFluidSim(benchmark::State& state) {
+  // ESN fluid baseline throughput: max-min rate recomputes (one per flow
+  // arrival or completion) per second, 64 racks at 80 % load. The argument
+  // is the oversubscription: 1 = ESN (Ideal), 3 = ESN-OSUB (Ideal).
+  esn::EsnConfig cfg;
+  cfg.racks = 64;
+  cfg.servers_per_rack = 8;
+  cfg.oversubscription = static_cast<std::int32_t>(state.range(0));
+  workload::GeneratorConfig g;
+  g.servers = cfg.servers();
+  g.server_rate = cfg.server_rate;
+  g.load = 0.8;
+  g.flow_count = 1'500;
+  g.max_flow_size = DataSize::megabytes(2);
+  const auto w = workload::generate(g);
+  std::int64_t recomputes = 0;
+  for (auto _ : state) {
+    telemetry::Hub hub;
+    cfg.telemetry = &hub;
+    const auto r = esn::EsnFluidSim(cfg, w).run();
+    recomputes +=
+        hub.metrics().find_counter("esn.rate_recomputes")->value();
+    benchmark::DoNotOptimize(r.completed_flows);
+  }
+  state.SetItemsProcessed(recomputes);
+}
+BENCHMARK(BM_EsnFluidSim)->Arg(1)->Arg(3)->Unit(benchmark::kMillisecond);
 
 // ---- machine-readable summary mode -----------------------------------------
 
